@@ -412,24 +412,32 @@ impl Lpo {
             // Step ⑤: correctness via translation validation — replayed from
             // the verdict store when it already holds this (source, candidate)
             // pair under the current version, recorded into it when not.
-            // Stored verdicts round-trip exactly (counterexamples included),
-            // so the feedback loop below cannot tell a replay from a sweep.
+            // Stored verdicts round-trip exactly (counterexamples included,
+            // relabeled with this source's argument names), so the feedback
+            // loop below cannot tell a replay from a sweep.
             let verify = |arena: &mut EvalArena| match sharding {
                 Some((driver, shard_size)) => {
                     tv_case.verify_with_driver(&candidate, arena, driver, shard_size)
                 }
                 None => tv_case.verify_with(&candidate, arena),
             };
-            let verdict = match &store {
-                Some((store, version, src_digest)) => {
+            let verdict = match (tv_case.signature_error(&candidate), &store) {
+                // The store's digests are name-blind. A signature error's
+                // text names both functions, and it costs nothing to
+                // recompute, so it never goes through the store.
+                (Some(error), _) => error,
+                (None, Some((store, version, src_digest))) => {
                     let tgt_digest = hash_function(&candidate).0;
                     match store
                         .verdict(version, *src_digest, tgt_digest)
                         .and_then(|blob| decode_verdict(&blob))
                     {
-                        Some((stored, tier)) => {
+                        Some((mut stored, tier)) => {
                             store_hits += 1;
                             last_tier = tier;
+                            if let Verdict::Incorrect(cex) = &mut stored {
+                                cex.rebind_args(source);
+                            }
                             stored
                         }
                         None => {
@@ -445,7 +453,7 @@ impl Lpo {
                         }
                     }
                 }
-                None => {
+                (None, None) => {
                     let fresh = verify(arena);
                     last_tier = tv_case.last_tier();
                     fresh
@@ -660,5 +668,64 @@ mod tests {
         assert_eq!(lpo.config().attempt_limit, 2);
         assert!(lpo.config().feedback);
         assert!(!LpoConfig::without_feedback().feedback);
+    }
+
+    /// Proposes the same candidate on every attempt and keeps the feedback
+    /// it was sent.
+    struct Scripted {
+        candidate: &'static str,
+        feedback: Vec<String>,
+    }
+
+    impl ModelSession for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+
+        fn propose(&mut self, prompt: &Prompt) -> lpo_llm::model::Completion {
+            self.feedback.extend(prompt.feedback.clone());
+            lpo_llm::model::Completion {
+                text: self.candidate.to_string(),
+                usage: Default::default(),
+                latency: Duration::ZERO,
+                cost_usd: 0.0,
+            }
+        }
+    }
+
+    #[test]
+    fn store_replays_feed_back_the_current_sources_names() {
+        // Alpha-equivalent sources share the store's name-blind digests.
+        let sources = [
+            "define i32 @src(i32 %x) {\n %a = shl i32 %x, 8\n %r = lshr i32 %a, 8\n ret i32 %r\n}",
+            "define i32 @f8(i32 %a0) {\n %t = shl i32 %a0, 8\n %u = lshr i32 %t, 8\n ret i32 %u\n}",
+        ]
+        .map(|text| parse_function(text).unwrap());
+        // A wrong rewrite (its counterexample names the source's arguments)
+        // and a mistyped one (its error names both functions).
+        let candidates = [
+            "define i32 @t(i32 %y) {\n ret i32 %y\n}",
+            "define i32 @t(i64 %y) {\n ret i32 0\n}",
+        ];
+        let feedback = |lpo: &Lpo, source: &Function, candidate: &'static str| {
+            let mut session = Scripted { candidate, feedback: Vec::new() };
+            lpo.optimize_sequence(&mut session, source);
+            session.feedback
+        };
+        for candidate in candidates {
+            let storeless = Lpo::new(LpoConfig::default());
+            let stored = Lpo::new(LpoConfig::default())
+                .with_verdict_store(Arc::new(VerdictStore::in_memory()));
+            for source in &sources {
+                let expected = feedback(&storeless, source, candidate);
+                assert_eq!(expected.len(), 1, "the first attempt must be fed back");
+                assert_eq!(
+                    feedback(&stored, source, candidate),
+                    expected,
+                    "@{} got another source's feedback from the store",
+                    source.name
+                );
+            }
+        }
     }
 }

@@ -4,8 +4,10 @@
 //! `repro serve-client` subcommand that scripts a session in CI. One
 //! [`ServeClient`] is one connection; [`submit`](ServeClient::submit) drives
 //! a full job round-trip (request, `accepted`, streamed `case` frames, the
-//! closing `done`), while [`request`](ServeClient::request) does a plain
-//! one-frame exchange (`stats`, `shutdown`, or malformed lines in tests).
+//! closing `done`; [`read_job`](ServeClient::read_job) is the reading half
+//! alone, for pipelined requests), while [`request`](ServeClient::request)
+//! does a plain one-frame exchange (`stats`, `shutdown`, or malformed lines
+//! in tests).
 
 use crate::json::Json;
 use crate::protocol::frame;
@@ -184,6 +186,14 @@ impl ServeClient {
     /// Submits a job and drains its result stream.
     pub fn submit(&mut self, options: &SubmitOptions) -> std::io::Result<JobOutcome> {
         self.send_line(&options.request_line())?;
+        self.read_job()
+    }
+
+    /// Drains the response stream of a submission already sent: `accepted`
+    /// (or `error`), the streamed `case` frames, then `done`. A pipelining
+    /// client sends several requests first, then reads each response in
+    /// order.
+    pub fn read_job(&mut self) -> std::io::Result<JobOutcome> {
         let first = self.read_frame()?;
         match first.get("kind").and_then(Json::as_str) {
             Some("error") => {

@@ -3,16 +3,20 @@
 //!
 //! # Threading model
 //!
-//! One thread per connection. A connection alternates between reading
-//! request frames and — for `submit` — running the job *inline*: it reserves
-//! a slot in the bounded FIFO job queue (jobs execute one at a time, in
-//! submission order), drives the execution engine with the server's
-//! configured `--jobs` workers, and streams each case's result back on its
-//! own socket as the engine settles it. While a job runs, a watcher thread
-//! reads the connection: a client that disconnects mid-job flips the job's
-//! cancel flag, so the engine fails the remaining cases instantly instead of
-//! computing into a dead socket (bytes a pipelining client sent early are
-//! preserved for the next request).
+//! Two threads per connection. A reader thread is the only code that ever
+//! reads the socket: it parses request frames in a plain blocking loop and
+//! hands them, in arrival order, to the connection thread over a channel,
+//! so requests a pipelining client sends early simply wait their turn. The
+//! connection thread answers each request in order and runs a `submit`
+//! *inline*: it reserves a slot in the bounded FIFO job queue (jobs execute
+//! one at a time, in submission order), drives the execution engine with the
+//! server's configured `--jobs` workers, and streams each case's result back
+//! on its own socket as the engine settles it. When the reader hits EOF or a
+//! read error it raises the connection's `gone` flag, which is every job's
+//! cancel flag: a client that disconnects mid-job makes the engine fail the
+//! remaining cases at once instead of computing into a dead socket. When the
+//! connection thread exits it shuts the socket down, which unblocks the
+//! reader, and joins it.
 //!
 //! # Determinism and the shared store
 //!
@@ -44,11 +48,13 @@ use lpo_llm::fault::{FaultPolicy, FaultPolicyFactory};
 use lpo_llm::model::ModelFactory;
 use lpo_llm::profiles::{by_name, ModelProfile};
 use lpo_llm::simulated::SimulatedModelFactory;
-use std::io::{ErrorKind, Read, Write};
+use std::collections::HashMap;
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Instant;
 
 /// How a server instance runs.
 #[derive(Clone, Debug)]
@@ -190,11 +196,12 @@ struct Shared {
     counters: Counters,
     start: Instant,
     shutdown: AtomicBool,
-    /// Clones of every accepted connection, closed on shutdown so blocked
-    /// readers unwind.
-    conns: Mutex<Vec<TcpStream>>,
-    active: Mutex<usize>,
-    active_cv: Condvar,
+    /// A clone of every open connection's socket, keyed by accept order.
+    /// Shutdown closes them so blocked readers unwind; each connection
+    /// thread removes its own entry as it ends, and `run` returns once the
+    /// registry is empty.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    conns_cv: Condvar,
 }
 
 /// The discovery server. [`bind`](Server::bind), then [`run`](Server::run)
@@ -236,9 +243,8 @@ impl Server {
             counters: Counters::default(),
             start: Instant::now(),
             shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-            active: Mutex::new(0),
-            active_cv: Condvar::new(),
+            conns: Mutex::new(HashMap::new()),
+            conns_cv: Condvar::new(),
         });
         Ok(Server { listener, shared })
     }
@@ -257,7 +263,7 @@ impl Server {
     /// connection thread to unwind before returning.
     pub fn run(self) -> std::io::Result<()> {
         let Server { listener, shared } = self;
-        loop {
+        for id in 0u64.. {
             if shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
@@ -270,26 +276,28 @@ impl Server {
                     continue;
                 }
             };
-            if shared.shutdown.load(Ordering::SeqCst) {
-                // The shutdown handler's wake-up connection (or a straggler).
-                break;
-            }
             let _ = stream.set_nodelay(true);
-            if let Ok(clone) = stream.try_clone() {
-                shared.conns.lock().expect("registry poisoned").push(clone);
+            let Ok(clone) = stream.try_clone() else { continue };
+            {
+                // Checked under the lock `begin_shutdown` holds while it
+                // closes the registry, so no connection slips past it. After
+                // shutdown this is the wake-up connection (or a straggler).
+                let mut conns = shared.conns.lock().expect("registry poisoned");
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                conns.insert(id, clone);
             }
-            *shared.active.lock().expect("active count poisoned") += 1;
             let conn_shared = shared.clone();
             std::thread::spawn(move || {
                 handle_connection(&conn_shared, stream);
-                let mut active = conn_shared.active.lock().expect("active count poisoned");
-                *active -= 1;
-                conn_shared.active_cv.notify_all();
+                conn_shared.conns.lock().expect("registry poisoned").remove(&id);
+                conn_shared.conns_cv.notify_all();
             });
         }
-        let mut active = shared.active.lock().expect("active count poisoned");
-        while *active > 0 {
-            active = shared.active_cv.wait(active).expect("active count poisoned");
+        let mut conns = shared.conns.lock().expect("registry poisoned");
+        while !conns.is_empty() {
+            conns = shared.conns_cv.wait(conns).expect("registry poisoned");
         }
         Ok(())
     }
@@ -297,10 +305,13 @@ impl Server {
 
 impl Shared {
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unwind every blocked connection reader.
-        for conn in self.conns.lock().expect("registry poisoned").drain(..) {
-            let _ = conn.shutdown(Shutdown::Both);
+        {
+            let conns = self.conns.lock().expect("registry poisoned");
+            self.shutdown.store(true, Ordering::SeqCst);
+            // Unwind every blocked connection reader.
+            for conn in conns.values() {
+                let _ = conn.shutdown(Shutdown::Both);
+            }
         }
         // Unblock the acceptor.
         let _ = TcpStream::connect(self.local_addr);
@@ -314,60 +325,50 @@ enum Frame {
     Line(String),
     /// A frame longer than the configured limit (already drained).
     Oversized,
-    /// Connection closed (a truncated trailing line is dropped).
-    Eof,
 }
 
-/// Line reader with a shared pushback buffer: the mid-job watcher thread
-/// appends any bytes a pipelining client sends during a job, and the next
-/// [`read_frame`](FrameReader::read_frame) consumes them first.
+/// Line reader over a connection's socket, owned by its reader thread.
 struct FrameReader {
     stream: TcpStream,
-    buf: Arc<Mutex<Vec<u8>>>,
+    buf: Vec<u8>,
     max_frame: usize,
 }
 
 impl FrameReader {
-    fn read_frame(&mut self) -> Frame {
+    /// The next frame, or `None` once the connection is closed or broken (a
+    /// truncated trailing line is dropped).
+    fn read_frame(&mut self) -> Option<Frame> {
         let mut skipping = false;
         loop {
-            {
-                let mut buf = self.buf.lock().expect("frame buffer poisoned");
-                if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=pos).collect();
-                    if skipping || line.len() - 1 > self.max_frame {
-                        return Frame::Oversized;
-                    }
-                    let mut text = String::from_utf8_lossy(&line).into_owned();
+            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
+                let line: Vec<u8> = self.buf.drain(..=pos).collect();
+                if skipping || line.len() - 1 > self.max_frame {
+                    return Some(Frame::Oversized);
+                }
+                let mut text = String::from_utf8_lossy(&line).into_owned();
+                text.pop();
+                if text.ends_with('\r') {
                     text.pop();
-                    if text.ends_with('\r') {
-                        text.pop();
-                    }
-                    return Frame::Line(text);
                 }
-                if buf.len() > self.max_frame {
-                    // Over the limit with no newline yet: discard until the
-                    // frame ends, then report it oversized.
-                    buf.clear();
-                    skipping = true;
-                }
+                return Some(Frame::Line(text));
+            }
+            if self.buf.len() > self.max_frame {
+                // Over the limit with no newline yet: discard until the
+                // frame ends, then report it oversized.
+                self.buf.clear();
+                skipping = true;
             }
             let mut tmp = [0u8; 4096];
             match self.stream.read(&mut tmp) {
-                Ok(0) => return Frame::Eof,
+                Ok(0) | Err(_) => return None,
                 Ok(n) => {
-                    let mut buf = self.buf.lock().expect("frame buffer poisoned");
                     if !skipping {
-                        buf.extend_from_slice(&tmp[..n]);
+                        self.buf.extend_from_slice(&tmp[..n]);
                     } else if let Some(pos) = tmp[..n].iter().position(|&b| b == b'\n') {
-                        buf.extend_from_slice(&tmp[pos + 1..n]);
-                        return Frame::Oversized;
+                        self.buf.extend_from_slice(&tmp[pos + 1..n]);
+                        return Some(Frame::Oversized);
                     }
                 }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    continue;
-                }
-                Err(_) => return Frame::Eof,
             }
         }
     }
@@ -380,52 +381,74 @@ fn write_line(writer: &Mutex<TcpStream>, line: &str) -> std::io::Result<()> {
 
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else { return };
-    let Ok(write_half) = stream.try_clone() else { return };
-    let buf = Arc::new(Mutex::new(Vec::new()));
     let mut reader = FrameReader {
         stream: read_half,
-        buf: buf.clone(),
+        buf: Vec::new(),
         max_frame: shared.config.max_frame_bytes,
     };
-    let writer = Mutex::new(write_half);
-    loop {
+    // Raised once the client is unreachable; it is every job's cancel flag.
+    let gone = Arc::new(AtomicBool::new(false));
+    let (frames, inbox) = mpsc::channel();
+    let reader_gone = gone.clone();
+    let Ok(reader_thread) = std::thread::Builder::new().spawn(move || {
+        while let Some(frame) = reader.read_frame() {
+            if frames.send(frame).is_err() {
+                break;
+            }
+        }
+        reader_gone.store(true, Ordering::Relaxed);
+    }) else {
+        return;
+    };
+    let writer = Mutex::new(stream);
+    serve_requests(shared, &inbox, &writer, &gone);
+    // Unblock the reader (its client may still be connected) and reap it.
+    let stream = writer.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let _ = stream.shutdown(Shutdown::Both);
+    let _ = reader_thread.join();
+}
+
+/// Answers a connection's requests in arrival order until the client is
+/// gone, its socket dies, or the server shuts down.
+fn serve_requests(
+    shared: &Arc<Shared>,
+    inbox: &Receiver<Frame>,
+    writer: &Mutex<TcpStream>,
+    gone: &AtomicBool,
+) {
+    for frame in inbox {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match reader.read_frame() {
-            Frame::Eof => return,
+        let outcome = match frame {
             Frame::Oversized => {
                 let message = format!(
                     "request frame exceeds {} bytes",
                     shared.config.max_frame_bytes
                 );
-                if write_line(&writer, &error_frame(&message)).is_err() {
-                    return;
-                }
+                write_line(writer, &error_frame(&message))
             }
             Frame::Line(line) => {
                 shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-                let outcome = match Request::parse(&line) {
-                    Err(message) => write_line(&writer, &error_frame(&message)),
-                    Ok(Request::Stats) => write_line(&writer, &stats_frame(shared)),
+                match Request::parse(&line) {
+                    Err(message) => write_line(writer, &error_frame(&message)),
+                    Ok(Request::Stats) => write_line(writer, &stats_frame(shared)),
                     Ok(Request::Shutdown) => {
                         let bye =
                             crate::protocol::frame(&Json::Obj(vec![(
                                 "kind".into(),
                                 Json::Str("bye".into()),
                             )]));
-                        let _ = write_line(&writer, &bye);
+                        let _ = write_line(writer, &bye);
                         shared.begin_shutdown();
                         return;
                     }
-                    Ok(Request::Submit(submit)) => {
-                        handle_submit(shared, &writer, &buf, &stream, submit)
-                    }
-                };
-                if outcome.is_err() {
-                    return;
+                    Ok(Request::Submit(submit)) => handle_submit(shared, writer, gone, submit),
                 }
             }
+        };
+        if outcome.is_err() {
+            return;
         }
     }
 }
@@ -470,8 +493,7 @@ fn stats_frame(shared: &Shared) -> String {
 fn handle_submit(
     shared: &Arc<Shared>,
     writer: &Mutex<TcpStream>,
-    buf: &Arc<Mutex<Vec<u8>>>,
-    stream: &TcpStream,
+    gone: &AtomicBool,
     submit: SubmitRequest,
 ) -> std::io::Result<()> {
     // Validate before touching the queue: bad submissions cost nothing.
@@ -492,37 +514,6 @@ fn handle_submit(
     write_line(writer, &accepted_frame(job, functions.len(), plan.unique_indices().len()))?;
     ticket.wait();
 
-    // Watch the socket while the job runs: EOF (client gone) cancels the
-    // job; bytes from a pipelining client land in the reader's buffer.
-    let cancel = Arc::new(AtomicBool::new(false));
-    let done = Arc::new(AtomicBool::new(false));
-    let watcher = stream.try_clone().ok().map(|watch_stream| {
-        let _ = watch_stream.set_read_timeout(Some(Duration::from_millis(25)));
-        let buf = buf.clone();
-        let cancel = cancel.clone();
-        let done = done.clone();
-        std::thread::spawn(move || {
-            let mut tmp = [0u8; 4096];
-            while !done.load(Ordering::Relaxed) {
-                match watch_stream.as_ref_read(&mut tmp) {
-                    Ok(0) => {
-                        cancel.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    Ok(n) => {
-                        buf.lock().expect("frame buffer poisoned").extend_from_slice(&tmp[..n]);
-                    }
-                    Err(e)
-                        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-                    Err(_) => {
-                        cancel.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            }
-        })
-    });
-
     let factory = shared.provider.build(profile, submit.seed);
     let run_key = run_key(&submit, &functions);
     let persist = Persist { store: &shared.store, run_key: &run_key, resume: submit.resume };
@@ -534,10 +525,10 @@ fn handle_submit(
     let store_before = shared.store.stats();
     let observer = |index: usize, report: &lpo::prelude::CaseReport, resumed: bool| {
         if write_line(writer, &case_frame(job, index, report, resumed, false)).is_err() {
-            cancel.store(true, Ordering::Relaxed);
+            gone.store(true, Ordering::Relaxed);
         }
     };
-    let hooks = BatchHooks { observer: Some(&observer), cancel: Some(&cancel) };
+    let hooks = BatchHooks { observer: Some(&observer), cancel: Some(gone) };
     let batch = run_batch_hooked(
         &shared.lpo,
         &*factory,
@@ -548,14 +539,9 @@ fn handle_submit(
         hooks,
     );
 
-    // The job is over: stop watching, restore the blocking read the
-    // connection loop expects (the timeout is a socket-level option shared
-    // by every clone of this connection).
-    done.store(true, Ordering::Relaxed);
-    if let Some(handle) = watcher {
-        let _ = handle.join();
-    }
-    let _ = stream.set_read_timeout(None);
+    // Read before the replays below: a client that leaves after the last
+    // case settled does not turn a finished job into a cancelled one.
+    let cancelled = gone.load(Ordering::Relaxed);
 
     // Structural duplicates replay their representative's settled report.
     for index in 0..functions.len() {
@@ -566,7 +552,6 @@ fn handle_submit(
     }
 
     let delta = shared.store.stats().since(store_before);
-    let cancelled = cancel.load(Ordering::Relaxed);
     if cancelled {
         shared.counters.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
     } else {
@@ -624,17 +609,6 @@ fn run_key(submit: &SubmitRequest, functions: &[Function]) -> String {
         digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
     }
     format!("serve/{}/s{}/{digest:016x}", submit.model, submit.seed)
-}
-
-/// `Read::read` through a `&TcpStream` (the watcher owns no unique handle).
-trait ReadByRef {
-    fn as_ref_read(&self, buf: &mut [u8]) -> std::io::Result<usize>;
-}
-
-impl ReadByRef for TcpStream {
-    fn as_ref_read(&self, buf: &mut [u8]) -> std::io::Result<usize> {
-        (&mut &*self).read(buf)
-    }
 }
 
 #[cfg(test)]

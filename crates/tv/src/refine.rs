@@ -71,7 +71,7 @@ use lpo_interp::eval::Ub;
 use lpo_interp::memory::Memory;
 use lpo_interp::plane::{PlanePlan, PlaneResult};
 use lpo_interp::value::EvalValue;
-use lpo_ir::function::Function;
+use lpo_ir::function::{Function, Param};
 use lpo_ir::hash::{hash_function, Digest};
 use lpo_ir::printer;
 use std::cell::{Cell, OnceCell, RefCell};
@@ -137,6 +137,19 @@ pub struct Counterexample {
     pub src_behaviour: String,
     /// Description of the target behaviour on this input.
     pub tgt_behaviour: String,
+}
+
+impl Counterexample {
+    /// Relabels the argument bindings with `src`'s parameters, by position.
+    /// The label is the only part of a counterexample that depends on value
+    /// names, so this turns one recorded for any alpha-equivalent source
+    /// (e.g. replayed from a store keyed by name-blind digests) into the one
+    /// `src` itself would produce.
+    pub fn rebind_args(&mut self, src: &Function) {
+        for ((label, _), param) in self.args.iter_mut().zip(&src.params) {
+            *label = arg_label(param);
+        }
+    }
 }
 
 impl fmt::Display for Counterexample {
@@ -761,8 +774,8 @@ impl<'a> SourceCache<'a> {
 
     /// Signature compatibility: same parameter types (names may differ) and
     /// the same return type. A mismatch is a *fixable* error reported as
-    /// feedback.
-    fn signature_error(&self, tgt: &Function) -> Option<Verdict> {
+    /// feedback; its text names both functions and their parameters.
+    pub fn signature_error(&self, tgt: &Function) -> Option<Verdict> {
         if self.src.params.len() != tgt.params.len()
             || self.src.params.iter().zip(&tgt.params).any(|(a, b)| a.ty != b.ty)
         {
@@ -1248,9 +1261,14 @@ fn describe_args(func: &Function, input: &TestInput) -> Vec<(String, String)> {
             } else {
                 v.to_string()
             };
-            (format!("{} %{}", p.ty, p.name), shown)
+            (arg_label(p), shown)
         })
         .collect()
+}
+
+/// The `<type> %<name>` label of one counterexample argument binding.
+fn arg_label(param: &Param) -> String {
+    format!("{} %{}", param.ty, param.name)
 }
 
 fn describe_outcome(result: &SourceOutcome) -> String {

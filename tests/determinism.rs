@@ -194,3 +194,53 @@ fn dedup_replay_is_byte_identical_to_its_representative() {
         );
     }
 }
+
+#[test]
+fn replayed_counterexamples_name_the_current_sources_arguments() {
+    use lpo_ir::parser::parse_function;
+    use std::sync::Arc;
+
+    // Alpha-equivalent sources share the store's name-blind digests, so a
+    // verdict recorded for one replays for the others. A replayed
+    // counterexample is fed back to the model, and the feedback's length
+    // drives modeled time and cost, so it must name the *current* source's
+    // arguments: cold or warm, each variant fingerprints like a storeless
+    // run. The long name makes the feedback differ by whole tokens (the
+    // prompt budget counts 4 characters per token, which can round a
+    // one-character rename away).
+    let variants = ["x", "a0", "a_much_longer_argument_name"].map(|arg| {
+        let text = format!(
+            "define i32 @f(i32 %{arg}) {{\n %t = shl i32 %{arg}, 8\n %u = lshr i32 %t, 8\n ret i32 %u\n}}"
+        );
+        vec![parse_function(&text).expect("variant parses")]
+    });
+    let config = ExecConfig::with_jobs(1);
+    let mut replayed_feedback = 0;
+    for profile in [gemini2_0t(), llama3_3()] {
+        for seed in 0..8 {
+            let factory = SimulatedModelFactory::new(profile.clone(), seed);
+            let reference = variants.clone().map(|sequences| {
+                let lpo = Lpo::new(LpoConfig::default());
+                lpo.run_sequences(&factory, 0, &sequences, &config).reports[0].fingerprint()
+            });
+            for order in [[0, 1, 2], [2, 1, 0]] {
+                let store = Arc::new(VerdictStore::in_memory());
+                let lpo = Lpo::new(LpoConfig::default()).with_verdict_store(store);
+                for (pass, variant) in ["cold", "warm", "warm"].into_iter().zip(order) {
+                    let batch = lpo.run_sequences(&factory, 0, &variants[variant], &config);
+                    let report = &batch.reports[0];
+                    assert_eq!(
+                        report.fingerprint(),
+                        reference[variant],
+                        "variant {variant} diverged on a {pass} store ({}, seed {seed})",
+                        profile.name
+                    );
+                    if pass == "warm" && report.store_hits > 0 && report.attempts > 1 {
+                        replayed_feedback += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(replayed_feedback > 0, "no warm run replayed a verdict into a later attempt");
+}

@@ -270,7 +270,7 @@ fn killed_job_resumes_on_a_restarted_server_with_a_torn_store_tail() {
                 let frame = victim.read_frame().expect("streamed case");
                 assert_eq!(frame.get("kind").and_then(Json::as_str), Some("case"));
             }
-            // Drop the connection mid-job: the watcher must cancel the rest.
+            // Drop the connection mid-job: the reader must cancel the rest.
         }
 
         // Wait for the server to settle the killed job, then stop it.

@@ -15,8 +15,10 @@ use lpo_ir::function::Function;
 use lpo_llm::prelude::{gemini2_0t, SimulatedModelFactory};
 use lpo_serve::json::Json;
 use lpo_serve::prelude::{JobOutcome, ServeClient, ServeConfig, Server, SubmitOptions};
-use std::sync::Arc;
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc};
 use std::thread;
+use std::time::{Duration, Instant};
 
 fn suite() -> Vec<Function> {
     rq1_suite().into_iter().map(|case| case.function).collect()
@@ -25,13 +27,18 @@ fn suite() -> Vec<Function> {
 /// The batch-mode reference: the same corpus through `run_batch_persisted`
 /// with the same model and seed the protocol defaults to.
 fn reference() -> (Vec<String>, String) {
+    batch_reference(&suite())
+}
+
+/// [`reference`] for any list of functions.
+fn batch_reference(functions: &[Function]) -> (Vec<String>, String) {
     let lpo = Lpo::new(LpoConfig::default());
     let factory = SimulatedModelFactory::new(gemini2_0t(), 42);
     let batch = lpo::exec::run_batch_persisted(
         &lpo,
         &factory,
         0,
-        &suite(),
+        functions,
         &ExecConfig::with_jobs(2),
         None,
     );
@@ -228,4 +235,89 @@ fn module_submissions_dedup_and_reproduce() {
 
     client.shutdown().expect("shutdown");
     server.join().expect("server thread").expect("server run");
+}
+
+/// Requests a pipelining client writes before reading anything are answered
+/// in order: only the connection's reader thread ever reads the socket, so
+/// bytes that arrive while a job runs wait as queued frames.
+#[test]
+fn pipelined_requests_stream_in_order() {
+    let module = "define i32 @f(i32 %x) {\n %a = shl i32 %x, 8\n %r = lshr i32 %a, 8\n ret i32 %r\n}\n\
+                  define i8 @g(i8 %y) {\n %m = mul i8 %y, 2\n ret i8 %m\n}";
+    let functions = lpo_ir::parser::parse_module(module).expect("module parses").functions;
+    let (expected, expected_summary) = reference();
+    let (module_expected, module_summary) = batch_reference(&functions);
+    let (addr, server) = start(ServeConfig { jobs: 2, ..ServeConfig::default() });
+    let mut client = ServeClient::connect(&addr).expect("connect");
+
+    let mut requests = SubmitOptions::corpus("rq1").request_line();
+    requests.push_str(&SubmitOptions::module(module).request_line());
+    requests.push_str("{\"kind\":\"stats\"}\n");
+    client.send_raw(requests.as_bytes()).expect("pipeline three requests");
+
+    // `read_job` fails on any frame of the wrong kind, so each job must
+    // stream completely before the next frame of another request arrives.
+    let rq1 = client.read_job().expect("first pipelined job");
+    assert_eq!(num(rq1.done(), "job"), 1.0);
+    assert_eq!(streamed_fingerprints(&rq1, expected.len()), expected);
+    assert_eq!(rq1.done().get("summary").and_then(Json::as_str), Some(expected_summary.as_str()));
+    let second = client.read_job().expect("second pipelined job");
+    assert_eq!(num(second.done(), "job"), 2.0);
+    assert_eq!(streamed_fingerprints(&second, module_expected.len()), module_expected);
+    assert_eq!(
+        second.done().get("summary").and_then(Json::as_str),
+        Some(module_summary.as_str())
+    );
+    let stats = client.read_frame().expect("stats frame");
+    assert_eq!(stats.get("kind").and_then(Json::as_str), Some("stats"), "stats must come last");
+    assert_eq!(num(&stats, "jobs_completed"), 2.0, "stats must be answered after both jobs");
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread").expect("server run");
+}
+
+/// A closed-loop client waits for each `done` before its next request, so
+/// any per-job wait inside the server adds straight to its latency. Reader
+/// threads must also exit with their connections: after many idle clients
+/// came and went, `shutdown` still lets `Server::run` return.
+#[test]
+fn job_latency_has_no_floor_and_reader_threads_do_not_leak() {
+    // Three small functions: long enough that a per-job helper thread would
+    // be blocked in a read by the time the job ends, short enough that 39
+    // warm jobs take a few milliseconds each even in a debug build.
+    let module: String = (1..=3)
+        .map(|k| {
+            format!(
+                "define i32 @f{k}(i32 %x) {{\n %a = shl i32 %x, {k}\n %r = lshr i32 %a, {k}\n ret i32 %r\n}}\n"
+            )
+        })
+        .collect();
+    let (addr, server) = start(ServeConfig { jobs: 1, ..ServeConfig::default() });
+    let mut client = ServeClient::connect(&addr).expect("connect");
+
+    let cold = client.submit(&SubmitOptions::module(&module)).expect("cold submit");
+    let expected = streamed_fingerprints(&cold, 3);
+    let warm_start = Instant::now();
+    for _ in 0..39 {
+        let warm = client.submit(&SubmitOptions::module(&module)).expect("warm submit");
+        assert_eq!(streamed_fingerprints(&warm, 3), expected);
+    }
+    let warm_time = warm_start.elapsed();
+    // A 25 ms per-job floor would put 39 jobs near 1 s.
+    assert!(warm_time < Duration::from_millis(500), "39 warm jobs took {warm_time:?}");
+
+    for _ in 0..50 {
+        drop(TcpStream::connect(&addr).expect("idle connect"));
+    }
+    // Idle connections still open at shutdown must unwind too.
+    let _lingering: Vec<TcpStream> =
+        (0..5).map(|_| TcpStream::connect(&addr).expect("idle connect")).collect();
+    client.shutdown().expect("shutdown");
+    let (done, returned) = mpsc::channel();
+    thread::spawn(move || done.send(server.join()));
+    returned
+        .recv_timeout(Duration::from_secs(30))
+        .expect("Server::run did not return after shutdown")
+        .expect("server thread")
+        .expect("server run");
 }
